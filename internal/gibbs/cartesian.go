@@ -56,6 +56,7 @@ func CartesianChainContext(ctx context.Context, metric mc.Metric, start []float6
 	updateAgg, probeAgg := span.Agg("update"), span.Agg("probe")
 	ct := newChainTelemetry(o.Telemetry, cartesianCoordNames(dim), k)
 	samples := make([][]float64, 0, k)
+	sd := newSides(dim)
 	m := 0
 	for len(samples) < k {
 		if err := ctx.Err(); err != nil {
@@ -64,22 +65,17 @@ func CartesianChainContext(ctx context.Context, metric mc.Metric, start []float6
 		if o.Stop != nil && o.Stop() && len(samples) >= 2 {
 			break
 		}
-		probes := 0
-		probe := func(t float64) bool {
-			probes++
-			old := x[m]
-			x[m] = t
-			fail := mc.Fail(metric, x)
-			x[m] = old
-			return fail
-		}
-		u, v, st := failureIntervalStat(probe, x[m], -o.Zeta, o.Zeta, &o)
+		down, up := sd.probes(x, func(buf []float64, t float64) bool {
+			buf[m] = t
+			return mc.Fail(metric, buf)
+		})
+		u, v, st := failureIntervalStat(down, up, x[m], -o.Zeta, o.Zeta, &o)
 		if st != intervalNone {
 			x[m] = stat.TruncNormSample(u, v, uniform01(rng))
 		}
-		ct.update(m, st, probes)
+		ct.update(m, st, sd.count())
 		updateAgg.Add(1)
-		probeAgg.Add(int64(probes))
+		probeAgg.Add(int64(sd.count()))
 		// Paper Algorithm 1 line 5: each coordinate draw creates a new
 		// sampling point (even when the recovery scan found nothing and
 		// the coordinate kept its value).

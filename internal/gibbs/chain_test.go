@@ -1,6 +1,7 @@
 package gibbs
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -288,7 +289,7 @@ func TestTwoStageUntilReachesTarget(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 6}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(12))
-	res, err := TwoStageUntil(counter, TwoStageOptions{Coord: Spherical, K: 300}, 0.05, 200, 200000, rng)
+	res, err := TwoStageUntilContext(context.Background(), counter, TwoStageOptions{Coord: Spherical, K: 300}, 0.05, 200, 200000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

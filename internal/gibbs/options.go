@@ -48,6 +48,11 @@ type Options struct {
 	// counters, mixing gauges and a "gibbs.chain" event per chain. It
 	// only observes — the chain's draws are identical with it on or off.
 	Telemetry *telemetry.Registry
+
+	// workers decides whether each interval search probes its two sides
+	// on two goroutines (resolved by concurrent). firstStage sets it from
+	// TwoStageOptions.Workers; the zero value selects GOMAXPROCS.
+	workers int
 }
 
 func (o *Options) defaults() Options {

@@ -40,6 +40,16 @@ func CartesianFromSpherical(r float64, alpha []float64) ([]float64, error) {
 	return x, nil
 }
 
+// failAt reports whether the point with radius r and orientation alpha
+// fails; an orientation that cannot be mapped counts as passing.
+func failAt(metric mc.Metric, r float64, alpha []float64) bool {
+	x, err := CartesianFromSpherical(r, alpha)
+	if err != nil {
+		return false
+	}
+	return mc.Fail(metric, x)
+}
+
 // SphericalChain runs the paper's Algorithm 2: Gibbs sampling over the
 // (M+1)-dimensional redundant spherical coordinates (r, α₁…α_M). Each
 // iteration first resamples the radius r from a truncated Chi(M)
@@ -96,6 +106,7 @@ func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float6
 	ct := newChainTelemetry(o.Telemetry, sphericalCoordNames(dim), k)
 	samples := make([][]float64, 0, k)
 	record := func() { samples = append(samples, cur()) }
+	sd := newSides(dim)
 
 	coord := -1 // -1 = radius, 0..M-1 = α index, cycled in Algorithm 2 order
 	for len(samples) < k {
@@ -105,42 +116,29 @@ func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float6
 		if o.Stop != nil && o.Stop() && len(samples) >= 2 {
 			break
 		}
-		probes := 0
 		if coord == -1 {
-			probe := func(t float64) bool {
-				probes++
-				x, err := CartesianFromSpherical(t, alpha)
-				if err != nil {
-					return false
-				}
-				return mc.Fail(metric, x)
-			}
-			u, v, st := failureIntervalStat(probe, r, 0, rmax, &o)
+			down, up := sd.probes(alpha, func(a []float64, t float64) bool {
+				return failAt(metric, t, a)
+			})
+			u, v, st := failureIntervalStat(down, up, r, 0, rmax, &o)
 			if st != intervalNone {
 				r = stat.TruncChiSample(dim, u, v, uniform01(rng))
 			}
-			ct.update(0, st, probes)
+			ct.update(0, st, sd.count())
 		} else {
 			m := coord
-			probe := func(t float64) bool {
-				probes++
-				old := alpha[m]
-				alpha[m] = t
-				x, err := CartesianFromSpherical(r, alpha)
-				alpha[m] = old
-				if err != nil {
-					return false
-				}
-				return mc.Fail(metric, x)
-			}
-			u, v, st := failureIntervalStat(probe, alpha[m], -o.Zeta, o.Zeta, &o)
+			down, up := sd.probes(alpha, func(a []float64, t float64) bool {
+				a[m] = t
+				return failAt(metric, r, a)
+			})
+			u, v, st := failureIntervalStat(down, up, alpha[m], -o.Zeta, o.Zeta, &o)
 			if st != intervalNone {
 				alpha[m] = stat.TruncNormSample(u, v, uniform01(rng))
 			}
-			ct.update(m+1, st, probes)
+			ct.update(m+1, st, sd.count())
 		}
 		updateAgg.Add(1)
-		probeAgg.Add(int64(probes))
+		probeAgg.Add(int64(sd.count()))
 		record()
 		coord++
 		if coord == dim {

@@ -26,9 +26,9 @@ import (
 var probeBuckets = telemetry.ExpBuckets(1, 2, 8) // 1 .. 128 sims/update
 
 // chainTelemetry accumulates one chain's interval-search statistics.
-// The live counters feed /metrics; the plain-int tallies (the chain is
-// single-goroutine) feed the end-of-chain event. A nil *chainTelemetry
-// is fully inert.
+// The live counters feed /metrics; the plain-int tallies (update runs
+// on the chain's goroutine, after each interval search has joined) feed
+// the end-of-chain event. A nil *chainTelemetry is fully inert.
 type chainTelemetry struct {
 	reg        *telemetry.Registry
 	coordNames []string

@@ -43,7 +43,7 @@ type TwoStageOptions struct {
 	// K is the number of first-stage Gibbs samples (paper: 1e2–1e3).
 	K int
 	// N is the number of second-stage importance-sampling simulations
-	// (paper: 1e3–1e4). Ignored by TwoStageUntil.
+	// (paper: 1e3–1e4). Ignored by TwoStageUntilContext.
 	N int
 	// Stage1Budget, when positive, caps the whole first stage (starting
 	// point search + Gibbs chain) at this many simulations, the way the
@@ -64,9 +64,10 @@ type TwoStageOptions struct {
 	// plain Algorithm 5 fit.
 	Mixture int
 	// Workers sizes the second-stage evaluation pool (0 = GOMAXPROCS).
-	// The first stage is inherently sequential (a Markov chain) and
-	// always runs on one goroutine; the estimate is identical for every
-	// worker count.
+	// The first stage is a Markov chain, so its coordinate updates run
+	// one after another; with two or more workers each update's interval
+	// search probes its upward and downward sides on two goroutines. The
+	// estimate is identical for every worker count.
 	Workers int
 	// TraceEvery records a convergence snapshot every so many
 	// second-stage samples (0 disables).
@@ -140,21 +141,19 @@ func firstStage(ctx context.Context, counter *mc.Counter, opts *TwoStageOptions,
 		"sims": counter.Count(), "norm": linalg.Norm2(start),
 	})
 
-	chainOpts := opts.Chain
-	if opts.Stage1Budget > 0 || (opts.Telemetry != nil && (chainOpts == nil || chainOpts.Telemetry == nil)) {
-		var co Options
-		if chainOpts != nil {
-			co = *chainOpts
-		}
-		if opts.Stage1Budget > 0 {
-			budget := opts.Stage1Budget
-			co.Stop = func() bool { return counter.Count() >= budget }
-		}
-		if co.Telemetry == nil {
-			co.Telemetry = opts.Telemetry
-		}
-		chainOpts = &co
+	var co Options
+	if opts.Chain != nil {
+		co = *opts.Chain
 	}
+	co.workers = opts.Workers
+	if opts.Stage1Budget > 0 {
+		budget := opts.Stage1Budget
+		co.Stop = func() bool { return counter.Count() >= budget }
+	}
+	if co.Telemetry == nil {
+		co.Telemetry = opts.Telemetry
+	}
+	chainOpts := &co
 	var (
 		samples [][]float64
 		err     error
@@ -244,16 +243,12 @@ func TwoStageContext(ctx context.Context, counter *mc.Counter, opts TwoStageOpti
 	return res, nil
 }
 
-// TwoStageUntil runs the same flow but replaces the fixed N with a
-// convergence target: the second stage stops as soon as the 99% relative
-// error reaches target (or maxN simulations). This regenerates the
-// paper's Table I ("number of simulations to achieve 5% error").
-func TwoStageUntil(counter *mc.Counter, opts TwoStageOptions, target float64, minN, maxN int, rng *rand.Rand) (*TwoStageResult, error) {
-	return TwoStageUntilContext(context.Background(), counter, opts, target, minN, maxN, rng)
-}
-
-// TwoStageUntilContext is TwoStageUntil with cancellation threaded
-// through both stages the same way as TwoStageContext.
+// TwoStageUntilContext runs the same flow as TwoStageContext but
+// replaces the fixed N with a convergence target: the second stage stops
+// as soon as the 99% relative error reaches target (or maxN
+// simulations). This regenerates the paper's Table I ("number of
+// simulations to achieve 5% error"). Cancellation is threaded through
+// both stages the same way as in TwoStageContext.
 func TwoStageUntilContext(ctx context.Context, counter *mc.Counter, opts TwoStageOptions, target float64, minN, maxN int, rng *rand.Rand) (*TwoStageResult, error) {
 	res, err := firstStage(ctx, counter, &opts, rng)
 	if err != nil {

@@ -17,8 +17,9 @@ import "sync/atomic"
 // batches through the Evaluator worker pool, so a Metric whose Value
 // mutates shared state (a cached solver, a shared circuit) must protect
 // or replicate that state per call. The built-in metrics comply by
-// constructing a fresh spice.Circuit per evaluation and treating the
-// Cell/MOSModel cards as read-only.
+// checking a reusable simulation engine out of a per-metric free list
+// for each evaluation, so concurrent callers never share solver state,
+// and by treating the Cell/MOSModel cards as read-only.
 type Metric interface {
 	// Dim returns the dimensionality M of the variation space.
 	Dim() int

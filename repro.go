@@ -193,10 +193,12 @@ type Options struct {
 	// failure regions need it; raise K when using it.
 	Mixture int
 	// Workers sizes the batch-evaluation pool shared by every method
-	// (0 = GOMAXPROCS). Inherently sequential stages (the Gibbs chain,
-	// the model-based starting-point search) stay on one goroutine; all
-	// sampling stages fan out. Estimates are bit-identical for every
-	// worker count — Workers trades wall-clock time only.
+	// (0 = GOMAXPROCS). All sampling stages fan out. The Gibbs chain's
+	// coordinate updates run one after another, but with two or more
+	// workers each update searches the two sides of its failure interval
+	// on two goroutines; the model-based starting-point search runs on
+	// one. Estimates are bit-identical for every worker count — Workers
+	// trades wall-clock time only.
 	Workers int
 	// Telemetry, when non-nil, receives metrics and structured events
 	// from every stage of the run (see Telemetry). When the metric
