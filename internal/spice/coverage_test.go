@@ -3,8 +3,6 @@ package spice
 import (
 	"math"
 	"testing"
-
-	"repro/internal/linalg"
 )
 
 func TestNodeNamesAndClone(t *testing.T) {
@@ -142,14 +140,14 @@ func TestCapacitorStampInactiveIsOpen(t *testing.T) {
 	cap := &Capacitor{p: 0, m: -1, C: 1e-12}
 	f := make([]float64, 1)
 	x := []float64{0.7}
-	cap.Stamp(x, f, zeroMat(1))
+	cap.Stamp(x, fullTargetInto(f))
 	if f[0] != 0 {
 		t.Fatal("inactive capacitor stamped current")
 	}
 	cap.active = true
 	cap.geq = 1e-3
 	cap.ieq = 0
-	cap.Stamp(x, f, zeroMat(1))
+	cap.Stamp(x, fullTargetInto(f))
 	if math.Abs(f[0]-0.7e-3) > 1e-18 {
 		t.Fatalf("active companion current wrong: %v", f[0])
 	}
@@ -161,6 +159,3 @@ func TestPinStampName(t *testing.T) {
 		t.Fatal("pin stamp must have a name")
 	}
 }
-
-// zeroMat builds a zeroed Jacobian for direct stamp tests.
-func zeroMat(n int) *linalg.Matrix { return linalg.NewMatrix(n, n) }

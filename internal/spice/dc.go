@@ -298,10 +298,11 @@ type newtonStats struct {
 // nodes pinned by single-ended voltage sources are set once up front and
 // their branch currents recovered after convergence, which shrinks the
 // factored system from NumUnknowns to a handful of genuinely nonlinear
-// voltages.
+// voltages. Devices stamp straight into that reduced system (see
+// plan.go).
 func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64) (newtonStats, error) {
 	plan, ws := c.solverState()
-	f, jFull, jRed := ws.f, ws.jFull, ws.jRed
+	f, jRed := ws.sys.f, ws.sys.j
 	neg, dx := ws.neg, ws.dx
 
 	// Temporarily scale sources for source stepping.
@@ -328,37 +329,13 @@ func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64) (new
 	}
 
 	for iter := 0; iter < o.MaxIter; iter++ {
-		for i := range f {
-			f[i] = 0
-		}
-		jFull.Zero()
-		for _, d := range plan.active {
-			d.Stamp(x, f, jFull)
-		}
-		// gmin shunts keep the Jacobian nonsingular with off devices.
-		// Pinned rows never enter the factored system, so only free
-		// nodes need them.
-		for a := 0; a < plan.freeNodes; a++ {
-			i := plan.free[a]
-			f[i] += gmin * x[i]
-			jFull.Add(i, i, gmin)
-		}
-
+		c.stampReduced(plan, ws, x, gmin)
 		maxRes := 0.0
-		for _, i := range plan.free {
-			if a := math.Abs(f[i]); a > maxRes {
-				maxRes = a
+		for a, v := range f {
+			if av := math.Abs(v); av > maxRes {
+				maxRes = av
 			}
-		}
-
-		// Gather the reduced system over the free unknowns.
-		for a, ia := range plan.free {
-			src := jFull.Row(ia)
-			dst := jRed.Row(a)
-			for b, ib := range plan.free {
-				dst[b] = src[ib]
-			}
-			neg[a] = -f[ia]
+			neg[a] = -v
 		}
 		if err := linalg.FactorInto(&ws.lu, jRed); err != nil {
 			return newtonStats{iters: iter + 1}, fmt.Errorf("spice: singular Jacobian at iteration %d: %w", iter, err)

@@ -9,8 +9,45 @@ import "repro/internal/linalg"
 type Device interface {
 	Name() string
 	// Stamp adds the device's contribution at operating point x to the
-	// residual f and Jacobian j.
-	Stamp(x []float64, f []float64, j *linalg.Matrix)
+	// residual and Jacobian of the target system. Rows and slots the
+	// target does not carry are dropped.
+	Stamp(x []float64, st *stampTarget)
+}
+
+// stampTarget is the system a device stamps into. row maps a full-MNA
+// unknown index to its index in the target, or -1 when the target does
+// not carry that unknown; ground (index -1) is never carried. The Newton
+// loop stamps straight into the reduced system over the plan's free
+// unknowns, so a contribution to a pinned row or column is dropped
+// rather than written to a full matrix and discarded later. Each kept
+// residual row and Jacobian slot receives exactly the additions, in
+// exactly the order, that the full system would have given it.
+type stampTarget struct {
+	row []int
+	f   []float64
+	j   *linalg.Matrix
+}
+
+// at returns the target index of full-system unknown i, or -1.
+func (st *stampTarget) at(i int) int {
+	if i < 0 {
+		return -1
+	}
+	return st.row[i]
+}
+
+// addF adds v to the residual row of full-system unknown i.
+func (st *stampTarget) addF(i int, v float64) {
+	if r := st.at(i); r >= 0 {
+		st.f[r] += v
+	}
+}
+
+// addJ adds v to the Jacobian slot (i, k) of the full system.
+func (st *stampTarget) addJ(i, k int, v float64) {
+	if r, c := st.at(i), st.at(k); r >= 0 && c >= 0 {
+		st.j.Add(r, c, v)
+	}
 }
 
 // Resistor is a linear two-terminal resistor.
@@ -24,22 +61,21 @@ type Resistor struct {
 func (r *Resistor) Name() string { return r.name }
 
 // Stamp implements Device.
-func (r *Resistor) Stamp(x []float64, f []float64, j *linalg.Matrix) {
-	i := r.g * (voltageAt(x, r.p) - voltageAt(x, r.m))
-	if r.p >= 0 {
-		f[r.p] += i
-		j.Add(r.p, r.p, r.g)
-		if r.m >= 0 {
-			j.Add(r.p, r.m, -r.g)
-		}
-	}
-	if r.m >= 0 {
-		f[r.m] -= i
-		j.Add(r.m, r.m, r.g)
-		if r.p >= 0 {
-			j.Add(r.m, r.p, -r.g)
-		}
-	}
+func (r *Resistor) Stamp(x []float64, st *stampTarget) {
+	stampConductance(x, st, r.p, r.m, r.g, 0)
+}
+
+// stampConductance stamps a conductance g in parallel with a current
+// source ieq flowing m → p (the capacitor's companion model; ieq = 0 for
+// a resistor): the current leaving p is g·(V(p) − V(m)) − ieq.
+func stampConductance(x []float64, st *stampTarget, p, m int, g, ieq float64) {
+	i := g*(voltageAt(x, p)-voltageAt(x, m)) - ieq
+	st.addF(p, i)
+	st.addJ(p, p, g)
+	st.addJ(p, m, -g)
+	st.addF(m, -i)
+	st.addJ(m, m, g)
+	st.addJ(m, p, -g)
 }
 
 // VSource is an independent voltage source with an MNA branch current.
@@ -83,24 +119,16 @@ func (v *VSource) Name() string { return v.name }
 
 // Stamp implements Device. The branch current x[branch] flows from the
 // plus terminal through the source to the minus terminal.
-func (v *VSource) Stamp(x []float64, f []float64, j *linalg.Matrix) {
+func (v *VSource) Stamp(x []float64, st *stampTarget) {
 	i := x[v.branch]
-	if v.p >= 0 {
-		f[v.p] += i
-		j.Add(v.p, v.branch, 1)
-	}
-	if v.m >= 0 {
-		f[v.m] -= i
-		j.Add(v.m, v.branch, -1)
-	}
+	st.addF(v.p, i)
+	st.addJ(v.p, v.branch, 1)
+	st.addF(v.m, -i)
+	st.addJ(v.m, v.branch, -1)
 	// Branch equation: V(p) − V(m) − E = 0.
-	f[v.branch] += voltageAt(x, v.p) - voltageAt(x, v.m) - v.E
-	if v.p >= 0 {
-		j.Add(v.branch, v.p, 1)
-	}
-	if v.m >= 0 {
-		j.Add(v.branch, v.m, -1)
-	}
+	st.addF(v.branch, voltageAt(x, v.p)-voltageAt(x, v.m)-v.E)
+	st.addJ(v.branch, v.p, 1)
+	st.addJ(v.branch, v.m, -1)
 }
 
 // Current returns the branch current at a solved operating point.
@@ -118,11 +146,7 @@ type ISource struct {
 func (s *ISource) Name() string { return s.name }
 
 // Stamp implements Device.
-func (s *ISource) Stamp(x []float64, f []float64, j *linalg.Matrix) {
-	if s.p >= 0 {
-		f[s.p] += s.I
-	}
-	if s.m >= 0 {
-		f[s.m] -= s.I
-	}
+func (s *ISource) Stamp(x []float64, st *stampTarget) {
+	st.addF(s.p, s.I)
+	st.addF(s.m, -s.I)
 }

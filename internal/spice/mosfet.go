@@ -1,10 +1,6 @@
 package spice
 
-import (
-	"math"
-
-	"repro/internal/linalg"
-)
+import "math"
 
 // MOSType distinguishes n-channel from p-channel devices.
 type MOSType int
@@ -74,29 +70,65 @@ type MOSFET struct {
 	d, g, s, b int
 	Model      *MOSModel
 	DeltaVth   float64
+
+	// memo holds the last forward and reverse softplus terms Stamp
+	// computed. Solving is single-goroutine per circuit, and the memo
+	// belongs to that contract (see DESIGN.md §12).
+	memo [2]softplusMemo
 }
 
 // Name returns the device name.
 func (t *MOSFET) Name() string { return t.name }
 
-// mosEval computes the drain current and its partial derivatives with
-// respect to the terminal voltages for NMOS polarity. Voltages are
-// absolute node voltages.
-func (t *MOSFET) mosEval(vd, vg, vs, vb float64) (id, dId_dVd, dId_dVg, dId_dVs, dId_dVb float64) {
+// softplusMemo remembers one softplusSq argument and its result. F is a
+// pure function of u, so a memo keyed on the exact bits of u can never
+// go stale: a change of ΔVth, model card or bias that matters changes u.
+type softplusMemo struct {
+	ok    bool
+	u     uint64
+	f, df float64
+}
+
+// eval returns softplusSq(u), recomputing only when u differs bitwise
+// from the remembered argument.
+func (m *softplusMemo) eval(u float64) (f, df float64) {
+	bits := math.Float64bits(u)
+	if !m.ok || m.u != bits {
+		m.f, m.df = softplusSq(u)
+		m.u, m.ok = bits, true
+	}
+	return m.f, m.df
+}
+
+// mosArgs returns the arguments of the forward and reverse softplus
+// terms, u_F = (vp − Vsb)/(2·Vt) and u_R = (vp − Vdb)/(2·Vt), at absolute
+// node voltages in NMOS polarity. u_F depends only on the gate, source
+// and bulk voltages, u_R only on the gate, drain and bulk voltages: a
+// term whose three terminals are all pinned by sources has the same
+// argument at every Newton iteration of a solve.
+func (t *MOSFET) mosArgs(vd, vg, vs, vb float64) (uF, uR float64) {
+	m := t.Model
+	vt := m.vt()
+	n := m.slope()
+
+	vgb := vg - vb
+	vsb := vs - vb
+	vdb := vd - vb
+
+	vp := (vgb - (m.VT0 + t.DeltaVth)) / n
+	return (vp - vsb) / (2 * vt), (vp - vdb) / (2 * vt)
+}
+
+// mosCurrent assembles the NMOS-polarity drain current and its partial
+// derivatives with respect to the terminal voltages from the forward
+// and reverse softplus terms (fF, dF) = softplusSq(u_F) and
+// (fR, dR) = softplusSq(u_R); vds is Vd − Vs.
+func (t *MOSFET) mosCurrent(vds, fF, dF, fR, dR float64) (id, dId_dVd, dId_dVg, dId_dVs, dId_dVb float64) {
 	m := t.Model
 	vt := m.vt()
 	n := m.slope()
 	beta := m.Beta()
 
-	vgb := vg - vb
-	vsb := vs - vb
-	vdb := vd - vb
-	vds := vd - vs
-
-	vp := (vgb - (m.VT0 + t.DeltaVth)) / n
-
-	fF, dF := softplusSq((vp - vsb) / (2 * vt)) // forward
-	fR, dR := softplusSq((vp - vdb) / (2 * vt)) // reverse
 	// d/du of F wrt its voltage argument u carries the 1/(2vt) factor.
 	dFdu := dF / (2 * vt)
 	dRdu := dR / (2 * vt)
@@ -145,42 +177,63 @@ func softplusSq(u float64) (f, df float64) {
 // Eval returns the drain current and terminal conductances at absolute
 // node voltages, handling polarity. For PMOS the returned current keeps
 // the NMOS sign convention of current flowing into the drain terminal
-// (so a conducting PMOS pulling its drain up has negative id).
+// (so a conducting PMOS pulling its drain up has negative id). Eval is
+// pure: it uses a fresh memo, never the one Stamp keeps.
 func (t *MOSFET) Eval(vd, vg, vs, vb float64) (id, gd, gg, gs, gb float64) {
-	if t.Model.Type == NMOS {
-		return t.mosEval(vd, vg, vs, vb)
-	}
+	var memo [2]softplusMemo
+	return t.mosEval(vd, vg, vs, vb, &memo)
+}
+
+// mosEval is the device evaluation behind Eval and Stamp, in two parts
+// around the softplus terms: mosArgs computes their arguments, memo
+// supplies softplusSq at each, and mosCurrent assembles current and
+// conductances from the results.
+func (t *MOSFET) mosEval(vd, vg, vs, vb float64, memo *[2]softplusMemo) (id, gd, gg, gs, gb float64) {
 	// PMOS: mirror voltages; Id' (into drain) = −IdN(−V...); derivatives
 	// keep their sign: dId'/dV = −dIdN/d(−V)·(−1)... which equals dIdN/dV
 	// evaluated at mirrored voltages.
-	id, gd, gg, gs, gb = t.mosEval(-vd, -vg, -vs, -vb)
-	return -id, gd, gg, gs, gb
+	pmos := t.Model.Type != NMOS
+	if pmos {
+		vd, vg, vs, vb = -vd, -vg, -vs, -vb
+	}
+	uF, uR := t.mosArgs(vd, vg, vs, vb)
+	fF, dF := memo[0].eval(uF) // forward
+	fR, dR := memo[1].eval(uR) // reverse
+	id, gd, gg, gs, gb = t.mosCurrent(vd-vs, fF, dF, fR, dR)
+	if pmos {
+		id = -id
+	}
+	return id, gd, gg, gs, gb
 }
 
 // Stamp implements Device: current id flows drain→source through the
-// channel, leaving the drain node and entering the source node.
-func (t *MOSFET) Stamp(x []float64, f []float64, j *linalg.Matrix) {
-	vd := voltageAt(x, t.d)
-	vg := voltageAt(x, t.g)
-	vs := voltageAt(x, t.s)
-	vb := voltageAt(x, t.b)
-	id, gd, gg, gs, gb := t.Eval(vd, vg, vs, vb)
+// channel, leaving the drain node and entering the source node. Only the
+// drain and source rows carry current; a device with neither in the
+// target is not evaluated at all.
+func (t *MOSFET) Stamp(x []float64, st *stampTarget) {
+	rd, rs := st.at(t.d), st.at(t.s)
+	if rd < 0 && rs < 0 {
+		return
+	}
+	id, gd, gg, gs, gb := t.mosEval(
+		voltageAt(x, t.d), voltageAt(x, t.g),
+		voltageAt(x, t.s), voltageAt(x, t.b), &t.memo)
 
-	nodes := [4]int{t.d, t.g, t.s, t.b}
+	cols := [4]int{rd, st.at(t.g), rs, st.at(t.b)}
 	grads := [4]float64{gd, gg, gs, gb}
-	if t.d >= 0 {
-		f[t.d] += id
-		for k, nk := range nodes {
-			if nk >= 0 {
-				j.Add(t.d, nk, grads[k])
+	if rd >= 0 {
+		st.f[rd] += id
+		for k, c := range cols {
+			if c >= 0 {
+				st.j.Add(rd, c, grads[k])
 			}
 		}
 	}
-	if t.s >= 0 {
-		f[t.s] -= id
-		for k, nk := range nodes {
-			if nk >= 0 {
-				j.Add(t.s, nk, -grads[k])
+	if rs >= 0 {
+		st.f[rs] -= id
+		for k, c := range cols {
+			if c >= 0 {
+				st.j.Add(rs, c, -grads[k])
 			}
 		}
 	}

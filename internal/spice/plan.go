@@ -11,6 +11,13 @@ import "repro/internal/linalg"
 // the Newton loop then factors only the genuinely free unknowns (2 of 10
 // for the read cell, 1 of 11 for a forced transfer-curve point).
 //
+// Newton keeps no full-size Jacobian or residual. The plan maps each
+// full-MNA unknown to its place in the reduced system, and devices stamp
+// straight into the reduced residual and Jacobian through that map
+// (stampTarget), dropping every contribution to a pinned row or column.
+// Branch recovery stamps through a second map that keeps only the
+// pinned rows.
+//
 // The plan and workspace are cached on the Circuit and rebuilt lazily
 // whenever a device or node is added. Solving a Circuit was always a
 // single-goroutine affair (sweeps mutate source values in place); the
@@ -34,6 +41,11 @@ type solvePlan struct {
 	free      []int
 	freeNodes int
 	pins      []pinInfo
+	// reduced maps a full-system index to its position in free, or -1
+	// for a pinned node or an eliminated branch current. pinned maps the
+	// node of pins[k] to k and everything else to -1.
+	reduced []int
+	pinned  []int
 	// active lists the devices that stamp at least one free row. The
 	// others only write rows outside the reduced system (e.g. a MOSFET
 	// whose drain and source both sit on pinned nodes), so the Newton
@@ -46,12 +58,11 @@ type solvePlan struct {
 // newtonWorkspace holds the per-circuit numeric scratch space so the
 // Newton loop allocates nothing per iteration (or per solve).
 type newtonWorkspace struct {
-	f     []float64 // full-size residual
-	neg   []float64 // reduced negated residual
-	dx    []float64 // reduced Newton update
-	jFull *linalg.Matrix
-	jRed  *linalg.Matrix
+	sys   stampTarget // reduced residual and Jacobian
+	neg   []float64   // reduced negated residual
+	dx    []float64   // reduced Newton update
 	lu    linalg.LU
+	recov stampTarget // device currents at the pinned nodes
 }
 
 // buildPlan performs the symbolic analysis. A voltage source is
@@ -95,12 +106,14 @@ func (c *Circuit) buildPlan() *solvePlan {
 	for _, v := range kept {
 		p.free = append(p.free, v.branch)
 	}
-	isFree := make([]bool, c.NumUnknowns())
-	for _, i := range p.free {
-		isFree[i] = true
+	p.reduced = indexMap(c.NumUnknowns(), p.free)
+	pinNodes := make([]int, len(p.pins))
+	for k, pin := range p.pins {
+		pinNodes[k] = pin.node
 	}
+	p.pinned = indexMap(c.NumUnknowns(), pinNodes)
 	for _, d := range c.devices {
-		if stampsFreeRow(d, isFree) {
+		if stampsFreeRow(d, p.reduced) {
 			p.active = append(p.active, d)
 		}
 	}
@@ -112,8 +125,8 @@ func (c *Circuit) buildPlan() *solvePlan {
 // current-carrying terminals for two-terminal devices and MOSFETs
 // (drain/source; the gate and bulk draw no current), plus the branch row
 // for sources. Unknown device types are conservatively kept active.
-func stampsFreeRow(d Device, isFree []bool) bool {
-	hit := func(idx int) bool { return idx >= 0 && isFree[idx] }
+func stampsFreeRow(d Device, reduced []int) bool {
+	hit := func(idx int) bool { return idx >= 0 && reduced[idx] >= 0 }
 	switch t := d.(type) {
 	case *MOSFET:
 		return hit(t.d) || hit(t.s)
@@ -137,6 +150,19 @@ func stampsFreeRow(d Device, isFree []bool) bool {
 	}
 }
 
+// indexMap returns a length-n map sending idx[k] to k and every other
+// index to -1.
+func indexMap(n int, idx []int) []int {
+	m := make([]int, n)
+	for i := range m {
+		m[i] = -1
+	}
+	for k, i := range idx {
+		m[i] = k
+	}
+	return m
+}
+
 // solverState returns the current plan and a workspace sized for it,
 // rebuilding both after any topology change.
 func (c *Circuit) solverState() (*solvePlan, *newtonWorkspace) {
@@ -145,17 +171,36 @@ func (c *Circuit) solverState() (*solvePlan, *newtonWorkspace) {
 		c.ws = nil
 	}
 	if c.ws == nil {
-		n := c.NumUnknowns()
 		r := len(c.plan.free)
+		np := len(c.plan.pins)
 		c.ws = &newtonWorkspace{
-			f:     make([]float64, n),
-			neg:   make([]float64, r),
-			dx:    make([]float64, r),
-			jFull: linalg.NewMatrix(n, n),
-			jRed:  linalg.NewMatrix(r, r),
+			sys: stampTarget{row: c.plan.reduced, f: make([]float64, r), j: linalg.NewMatrix(r, r)},
+			neg: make([]float64, r),
+			dx:  make([]float64, r),
+			recov: stampTarget{row: c.plan.pinned, f: make([]float64, np),
+				j: linalg.NewMatrix(np, np)},
 		}
 	}
 	return c.plan, c.ws
+}
+
+// stampReduced evaluates the reduced residual and Jacobian at x into
+// ws.sys: every active device in netlist order, then the gmin shunts
+// that keep the Jacobian nonsingular with off devices. Pinned rows never
+// enter the factored system, so only free nodes need shunts.
+func (c *Circuit) stampReduced(plan *solvePlan, ws *newtonWorkspace, x []float64, gmin float64) {
+	sys := &ws.sys
+	for i := range sys.f {
+		sys.f[i] = 0
+	}
+	sys.j.Zero()
+	for _, d := range plan.active {
+		d.Stamp(x, sys)
+	}
+	for a := 0; a < plan.freeNodes; a++ {
+		sys.f[a] += gmin * x[plan.free[a]]
+		sys.j.Add(a, a, gmin)
+	}
 }
 
 // recoverPinnedBranches computes the branch currents of eliminated
@@ -168,15 +213,15 @@ func (c *Circuit) recoverPinnedBranches(plan *solvePlan, ws *newtonWorkspace, x 
 	if len(plan.pins) == 0 {
 		return
 	}
-	f := ws.f
-	for i := range f {
-		f[i] = 0
+	recov := &ws.recov
+	for i := range recov.f {
+		recov.f[i] = 0
 	}
-	ws.jFull.Zero()
+	recov.j.Zero()
 	for _, d := range c.devices {
-		d.Stamp(x, f, ws.jFull)
+		d.Stamp(x, recov)
 	}
-	for _, pin := range plan.pins {
-		x[pin.vs.branch] = -pin.sign * f[pin.node]
+	for k, pin := range plan.pins {
+		x[pin.vs.branch] = -pin.sign * recov.f[k]
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/linalg"
 )
 
 func nmosModel() *MOSModel {
@@ -277,9 +275,9 @@ func TestKCLResidualProperty(t *testing.T) {
 		c.indexBranches()
 		n := c.NumUnknowns()
 		fres := make([]float64, n)
-		j := linalg.NewMatrix(n, n)
+		full := fullTargetInto(fres)
 		for _, d := range c.devices {
-			d.Stamp(op.x, fres, j)
+			d.Stamp(op.x, full)
 		}
 		for i := 0; i < c.NumNodes(); i++ {
 			if math.Abs(fres[i]) > 1e-8 {

@@ -3,8 +3,6 @@ package spice
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/linalg"
 )
 
 // This file adds transient analysis to the DC engine: capacitors with
@@ -43,25 +41,9 @@ func (c *Capacitor) Name() string { return c.name }
 
 // Stamp implements Device. In DC mode the capacitor contributes nothing
 // (open circuit); in transient mode it stamps its companion model.
-func (c *Capacitor) Stamp(x []float64, f []float64, j *linalg.Matrix) {
-	if !c.active {
-		return
-	}
-	v := voltageAt(x, c.p) - voltageAt(x, c.m)
-	i := c.geq*v - c.ieq
-	if c.p >= 0 {
-		f[c.p] += i
-		j.Add(c.p, c.p, c.geq)
-		if c.m >= 0 {
-			j.Add(c.p, c.m, -c.geq)
-		}
-	}
-	if c.m >= 0 {
-		f[c.m] -= i
-		j.Add(c.m, c.m, c.geq)
-		if c.p >= 0 {
-			j.Add(c.m, c.p, -c.geq)
-		}
+func (c *Capacitor) Stamp(x []float64, st *stampTarget) {
+	if c.active {
+		stampConductance(x, st, c.p, c.m, c.geq, c.ieq)
 	}
 }
 
@@ -295,9 +277,9 @@ type pinStamp struct {
 func (p *pinStamp) Name() string { return "__ic_pins__" }
 
 // Stamp implements Device.
-func (p *pinStamp) Stamp(x []float64, f []float64, j *linalg.Matrix) {
+func (p *pinStamp) Stamp(x []float64, st *stampTarget) {
 	for _, pin := range p.pins {
-		f[pin.idx] += p.g * (x[pin.idx] - pin.v)
-		j.Add(pin.idx, pin.idx, p.g)
+		st.addF(pin.idx, p.g*(x[pin.idx]-pin.v))
+		st.addJ(pin.idx, pin.idx, p.g)
 	}
 }
