@@ -157,7 +157,8 @@ func (t *MOSFET) mosCurrent(vds, fF, dF, fR, dR float64) (id, dId_dVd, dId_dVg, 
 }
 
 // softplusSq returns f = softplus(u)² and df = d f / d u = 2·softplus(u)·σ(u),
-// with overflow-safe asymptotics.
+// with overflow-safe asymptotics. In the central branch one exp serves
+// both factors: softplus(u) = log1p(e^u) and σ(u) = e^u/(1 + e^u).
 func softplusSq(u float64) (f, df float64) {
 	switch {
 	case u > 34:
@@ -168,8 +169,9 @@ func softplusSq(u float64) (f, df float64) {
 		e := math.Exp(u)
 		return e * e, 2 * e * e
 	default:
-		sp := math.Log1p(math.Exp(u))
-		sg := 1 / (1 + math.Exp(-u))
+		e := math.Exp(u)
+		sp := math.Log1p(e)
+		sg := e / (1 + e)
 		return sp * sp, 2 * sp * sg
 	}
 }

@@ -95,3 +95,62 @@ func TestEvalUnaffectedByStamp(t *testing.T) {
 		}
 	}
 }
+
+// twoExpSoftplusSq is softplusSq with σ(u) computed from a second exp,
+// 1/(1 + e^−u).
+func twoExpSoftplusSq(u float64) (f, df float64) {
+	switch {
+	case u > 34:
+		return u * u, 2 * u
+	case u < -34:
+		e := math.Exp(u)
+		return e * e, 2 * e * e
+	default:
+		sp := math.Log1p(math.Exp(u))
+		sg := 1 / (1 + math.Exp(-u))
+		return sp * sp, 2 * sp * sg
+	}
+}
+
+// TestSoftplusSqOneExp checks the one-exp softplusSq on a dense grid over
+// [−34, 34] and around the branch edges: f is bit-identical to
+// log1p(exp(u))², and df stays within 4 ulp of the two-exp form.
+func TestSoftplusSqOneExp(t *testing.T) {
+	var us []float64
+	for k := -68000; k <= 68000; k++ {
+		us = append(us, float64(k)/2000)
+	}
+	for _, edge := range []float64{-34, 34} {
+		u := edge
+		for k := 0; k < 4; k++ {
+			u = math.Nextafter(u, math.Inf(-1))
+		}
+		for k := 0; k < 9; k++ {
+			us = append(us, u)
+			u = math.Nextafter(u, math.Inf(1))
+		}
+	}
+	maxUlp := uint64(0)
+	for _, u := range us {
+		f, df := softplusSq(u)
+		wantF, wantDF := twoExpSoftplusSq(u)
+		if math.Float64bits(f) != math.Float64bits(wantF) {
+			t.Fatalf("u=%v: f=%v, log1p(exp(u))²=%v", u, f, wantF)
+		}
+		if df <= 0 || wantDF <= 0 {
+			t.Fatalf("u=%v: non-positive derivative %v (two-exp %v)", u, df, wantDF)
+		}
+		a, b := math.Float64bits(df), math.Float64bits(wantDF)
+		d := a - b
+		if b > a {
+			d = b - a
+		}
+		if d > maxUlp {
+			maxUlp = d
+		}
+		if d > 4 {
+			t.Fatalf("u=%v: df=%v is %d ulp from the two-exp %v", u, df, d, wantDF)
+		}
+	}
+	t.Logf("max df distance %d ulp over %d points", maxUlp, len(us))
+}
