@@ -322,28 +322,34 @@ func TestEyeSquareDegenerate(t *testing.T) {
 	}
 }
 
-// The read-current metric must be safe for concurrent use (the parallel
-// brute-force golden run depends on it).
+// The metrics must be safe for concurrent use (the parallel brute-force
+// golden run depends on it), and a sample's value must not depend on
+// which engine from the free list evaluated it: each engine's circuits
+// carry solver state and per-MOSFET softplus memos from earlier samples.
 func TestMetricConcurrentUse(t *testing.T) {
-	m := ReadCurrentWorkload()
-	rng := rand.New(rand.NewSource(5))
-	pts := make([][]float64, 16)
-	for i := range pts {
-		pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-	}
-	want := make([]float64, len(pts))
-	for i, p := range pts {
-		want[i] = m.Value(p)
-	}
-	done := make(chan bool, len(pts))
-	for i, p := range pts {
-		go func(i int, p []float64) {
-			done <- math.Abs(m.Value(p)-want[i]) < 1e-12
-		}(i, p)
-	}
-	for range pts {
-		if !<-done {
-			t.Fatal("concurrent evaluation mismatch")
+	for _, m := range []*Metric{ReadCurrentWorkload(), RNMWorkload(), WNMWorkload()} {
+		rng := rand.New(rand.NewSource(5))
+		pts := make([][]float64, 16)
+		for i := range pts {
+			pts[i] = make([]float64, m.Dim())
+			for k := range pts[i] {
+				pts[i][k] = rng.NormFloat64()
+			}
+		}
+		want := make([]float64, len(pts))
+		for i, p := range pts {
+			want[i] = m.Value(p)
+		}
+		done := make(chan bool, len(pts))
+		for i, p := range pts {
+			go func(i int, p []float64) {
+				done <- math.Float64bits(m.Value(p)) == math.Float64bits(want[i])
+			}(i, p)
+		}
+		for range pts {
+			if !<-done {
+				t.Fatalf("%v: concurrent evaluation mismatch", m.Kind)
+			}
 		}
 	}
 }
