@@ -559,14 +559,32 @@ func BenchmarkMetricRNM(b *testing.B) {
 	}
 }
 
-// BenchmarkMetricWNM measures one write-trip bisection.
+// BenchmarkMetricWNM measures one write-trip bisection: at the nominal
+// cell, and cycling through a fixed seeded set of 64 points at
+// 1.8·N(0, I), where many interior probes hit the one-attempt Newton
+// cap that the nominal cell rarely reaches.
 func BenchmarkMetricWNM(b *testing.B) {
 	m := sram.WNMWorkload()
-	x := make([]float64, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Value(x)
-	}
+	b.Run("nominal", func(b *testing.B) {
+		x := make([]float64, m.Dim())
+		for i := 0; i < b.N; i++ {
+			_ = m.Value(x)
+		}
+	})
+	b.Run("spread-1.8sigma", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		xs := make([][]float64, 64)
+		for i := range xs {
+			xs[i] = make([]float64, m.Dim())
+			for j := range xs[i] {
+				xs[i][j] = 1.8 * rng.NormFloat64()
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = m.Value(xs[i%len(xs)])
+		}
+	})
 }
 
 // BenchmarkNormQuantile measures the inverse-transform primitive.

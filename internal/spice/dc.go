@@ -11,7 +11,8 @@ import (
 )
 
 // ErrNoConvergence is returned when the operating-point solve exhausts
-// Newton iterations, gmin stepping and source stepping.
+// Newton iterations, gmin stepping and source stepping, or when a
+// SingleAttempt solve runs out of its MaxIter budget.
 var ErrNoConvergence = errors.New("spice: DC operating point did not converge")
 
 // Strategy identifies which convergence aid (if any) rescued a DC solve.
@@ -139,6 +140,14 @@ type DCOptions struct {
 	// only consume voltages set this to drop one full device stamp per
 	// solve.
 	NoBranchCurrents bool
+	// SingleAttempt runs plain damped Newton once from the initial
+	// guess, capped at MaxIter, with no gmin or source stepping; if that
+	// attempt does not converge the solve fails with ErrNoConvergence.
+	// It is for callers that classify a non-converging point themselves
+	// and would otherwise pay the whole fallback ladder to learn what
+	// they already assume. Telemetry counts such a failure in
+	// capped_total and emits no "spice.unconverged" event.
+	SingleAttempt bool
 }
 
 func (o *DCOptions) defaults() DCOptions {
@@ -169,27 +178,33 @@ func (o *DCOptions) defaults() DCOptions {
 // Newton from the initial guess; on failure it falls back to gmin stepping
 // and then source stepping, mirroring production SPICE practice. The
 // returned operating point records which strategy converged (Strategy),
-// the Newton iterations consumed and the residual at convergence.
+// the Newton iterations consumed and the residual at convergence. With
+// opts.SingleAttempt only the plain-Newton attempt runs.
 func (c *Circuit) SolveDC(opts *DCOptions) (*OperatingPoint, error) {
 	o := opts.defaults()
 	tel := c.dcTel(o.Telemetry)
+	x, err := c.startVector(&o)
+	if err != nil {
+		return nil, tel.fail(o.Telemetry, err)
+	}
 	sw, span := c.startSolveClock(tel, o.Telemetry)
-	op, err := c.solveDC(&o)
+	op, iters, err := c.solveDC(x, &o)
 	secs := sw.Stop()
 	// With span tracing on, credit the solve to the innermost pipeline
 	// stage (the solver has no context of its own).
 	if span != nil {
 		span.Agg("spice.solve").Observe(secs)
 	}
+	// Failed solves spent their iterations too.
+	tel.newtonIters.Observe(float64(iters))
 	if err != nil {
-		tel.unconverged.Inc()
-		if o.Telemetry.Enabled() {
-			o.Telemetry.Emit(wire.EvSpiceUnconverged, map[string]any{"error": err.Error()})
+		if o.SingleAttempt {
+			tel.capped.Inc()
+			return nil, err
 		}
-		return nil, err
+		return nil, tel.fail(o.Telemetry, err)
 	}
 	tel.solves.Inc()
-	tel.newtonIters.Observe(float64(op.iters))
 	tel.residual.Observe(op.residual)
 	switch op.strategy {
 	case StrategyGmin:
@@ -205,9 +220,9 @@ func (c *Circuit) SolveDC(opts *DCOptions) (*OperatingPoint, error) {
 	return op, nil
 }
 
-// solveDC runs the strategy escalation; o must already have defaults
-// applied.
-func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
+// startVector builds the initial unknown vector from o.Warm or
+// o.InitialGuess.
+func (c *Circuit) startVector(o *DCOptions) ([]float64, error) {
 	c.indexBranches()
 	n := c.NumUnknowns()
 	x := make([]float64, n)
@@ -216,24 +231,37 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 			return nil, fmt.Errorf("spice: warm start size %d does not match system size %d", len(o.Warm.x), n)
 		}
 		copy(x, o.Warm.x)
-	} else {
-		for name, v := range o.InitialGuess {
-			idx, ok := c.nodeIndex[name]
-			if !ok {
-				return nil, fmt.Errorf("spice: initial guess for unknown node %q", name)
-			}
-			if idx >= 0 {
-				x[idx] = v
-			}
+		return x, nil
+	}
+	for name, v := range o.InitialGuess {
+		idx, ok := c.nodeIndex[name]
+		if !ok {
+			return nil, fmt.Errorf("spice: initial guess for unknown node %q", name)
+		}
+		if idx >= 0 {
+			x[idx] = v
 		}
 	}
+	return x, nil
+}
 
-	totalIters := 0
-	if st, err := c.newton(x, o, o.Gmin, 1.0); err == nil {
+// solveDC runs the strategy escalation from x (only its first,
+// plain-Newton step under SingleAttempt); o must already have defaults
+// applied. It also returns the Newton iterations consumed, on failure
+// as well.
+func (c *Circuit) solveDC(x []float64, o *DCOptions) (*OperatingPoint, int, error) {
+	n := len(x)
+	st, err := c.newton(x, o, o.Gmin, 1.0)
+	if err == nil {
 		return &OperatingPoint{circuit: c, x: x, strategy: StrategyNewton,
-			iters: st.iters, residual: st.residual}, nil
-	} else {
-		totalIters += st.iters
+			iters: st.iters, residual: st.residual}, st.iters, nil
+	}
+	totalIters := st.iters
+	if o.SingleAttempt {
+		if !errors.Is(err, ErrNoConvergence) {
+			err = fmt.Errorf("%w: %v", ErrNoConvergence, err)
+		}
+		return nil, totalIters, err
 	}
 
 	// Gmin stepping: solve with a heavy shunt, then relax it.
@@ -252,7 +280,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 		totalIters += st.iters
 		if err == nil {
 			return &OperatingPoint{circuit: c, x: xg, strategy: StrategyGmin,
-				iters: totalIters, residual: st.residual}, nil
+				iters: totalIters, residual: st.residual}, totalIters, nil
 		}
 	}
 
@@ -271,7 +299,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 		if err != nil {
 			step /= 2
 			if step < 1e-4 {
-				return nil, fmt.Errorf("%w (source stepping stalled at %.1f%%)", ErrNoConvergence, 100*frac)
+				return nil, totalIters, fmt.Errorf("%w (source stepping stalled at %.1f%%)", ErrNoConvergence, 100*frac)
 			}
 			continue
 		}
@@ -283,7 +311,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 		}
 	}
 	return &OperatingPoint{circuit: c, x: xs, strategy: StrategySource,
-		iters: totalIters, residual: residual}, nil
+		iters: totalIters, residual: residual}, totalIters, nil
 }
 
 // newtonStats reports one Newton attempt: the iterations consumed and

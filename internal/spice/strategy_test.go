@@ -2,6 +2,7 @@ package spice
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -103,7 +104,8 @@ func TestSolveTelemetry(t *testing.T) {
 // current source into a node whose only DC path to ground is the 1e-12 S
 // gmin shunt wants ~1e9 V, far beyond MaxStep×MaxIter for plain Newton,
 // every gmin relaxation level and every source-stepping fraction. The
-// error must wrap ErrNoConvergence and be counted and emitted.
+// error must wrap ErrNoConvergence and be counted and emitted, and its
+// iterations observed.
 func TestUnconvergedTelemetry(t *testing.T) {
 	var buf strings.Builder
 	reg := telemetry.New()
@@ -126,5 +128,80 @@ func TestUnconvergedTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"event":"spice.unconverged"`) {
 		t.Fatalf("no spice.unconverged event emitted:\n%s", buf.String())
+	}
+	// The failed solve's iterations are observed too: the 25 of the
+	// plain attempt plus every fallback's.
+	if h := s.Histogram("newton_iterations", nil); h.Count() != 1 || h.Sum() <= 25 {
+		t.Fatalf("newton_iterations count=%d sum=%v, want one solve of more than 25 iterations", h.Count(), h.Sum())
+	}
+}
+
+// TestSingleAttemptNoFallback: a SingleAttempt solve of the circuit
+// above stops after exactly MaxIter plain-Newton iterations with
+// ErrNoConvergence — no gmin or source stepping runs — and is counted
+// in capped_total and newton_iterations, not as unconverged, with no
+// event emitted.
+func TestSingleAttemptNoFallback(t *testing.T) {
+	var buf strings.Builder
+	reg := telemetry.New()
+	reg.SetSink(telemetry.NewEventSink(&buf))
+	c := NewCircuit()
+	c.AddISource("i1", "0", "n", 1e-3)
+	_, err := c.SolveDC(&DCOptions{Telemetry: reg, MaxIter: 25, SingleAttempt: true})
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("error %v, want ErrNoConvergence", err)
+	}
+	s := reg.Scope("spice")
+	for name, want := range map[string]int64{
+		"capped_total": 1, "unconverged_total": 0, "solves_total": 0,
+		"fallback_gmin_total": 0, "fallback_source_total": 0,
+	} {
+		if got := s.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	h := s.Histogram("newton_iterations", nil)
+	if h.Count() != 1 || h.Sum() != 25 {
+		t.Fatalf("newton_iterations count=%d sum=%v, want one attempt of exactly MaxIter=25", h.Count(), h.Sum())
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("capped solve emitted events:\n%s", buf.String())
+	}
+}
+
+// TestSingleAttemptMatchesPlainNewton: on a circuit plain Newton
+// solves, SingleAttempt is exactly SolveDC's first attempt — the same
+// unknown vector bit for bit, the same iterations and strategy.
+func TestSingleAttemptMatchesPlainNewton(t *testing.T) {
+	build := func() *Circuit {
+		c := NewCircuit()
+		c.AddVSource("vdd", "vdd", "0", 1.0)
+		c.AddVSource("vin", "in", "0", 0.45)
+		c.AddResistor("rl", "vdd", "out", 20e3)
+		c.AddMOSFET("m1", "out", "in", "0", "0", &MOSModel{
+			Type: NMOS, VT0: 0.32, KP: 300e-6, W: 240e-9, L: 100e-9, Lambda: 0.1, N: 1.3,
+		})
+		return c
+	}
+	guess := map[string]float64{"out": 1.0}
+	want, err := build().SolveDC(&DCOptions{InitialGuess: guess})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Strategy() != StrategyNewton {
+		t.Fatalf("reference solve used %v, want plain Newton", want.Strategy())
+	}
+	got, err := build().SolveDC(&DCOptions{InitialGuess: guess, SingleAttempt: true, MaxIter: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Strategy() != want.Strategy() || got.NewtonIterations() != want.NewtonIterations() {
+		t.Fatalf("single attempt %v/%d iterations, full solve %v/%d",
+			got.Strategy(), got.NewtonIterations(), want.Strategy(), want.NewtonIterations())
+	}
+	for i := range want.x {
+		if math.Float64bits(got.x[i]) != math.Float64bits(want.x[i]) {
+			t.Fatalf("unknown %d: single attempt %v, full solve %v", i, got.x[i], want.x[i])
+		}
 	}
 }

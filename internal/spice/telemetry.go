@@ -9,6 +9,9 @@ import (
 //
 //	solves_total              converged DC solves
 //	unconverged_total         solves that exhausted every strategy
+//	capped_total              SingleAttempt solves whose one plain
+//	                          Newton attempt ended unconverged (no
+//	                          fallback, no event)
 //	fallback_gmin_total       solves rescued by gmin stepping
 //	fallback_source_total     solves rescued by source stepping
 //	warm_hit_total            warm-start attempts that converged
@@ -16,7 +19,9 @@ import (
 //	solve_seconds             wall time per solve (histogram; sampled
 //	                          1-in-8 unless a trace span is active —
 //	                          see startSolveClock)
-//	newton_iterations         Newton iterations per solve, all attempts
+//	newton_iterations         Newton iterations per solve, all attempts,
+//	                          for converged, unconverged and capped
+//	                          solves alike
 //	residual                  max-|KCL| residual at convergence
 //
 // plus the rare events "spice.fallback" and "spice.unconverged".
@@ -32,6 +37,7 @@ var (
 // nil registry) is fully inert.
 type dcTelemetry struct {
 	solves, unconverged    *telemetry.Counter
+	capped                 *telemetry.Counter
 	gminFalls, sourceFalls *telemetry.Counter
 	warmHits, warmFalls    *telemetry.Counter
 	solveSeconds           *telemetry.Histogram
@@ -75,6 +81,16 @@ func (c *Circuit) startSolveClock(tel dcTelemetry, reg *telemetry.Registry) (tel
 	return tel.solveSeconds.Start(), span
 }
 
+// fail records a solve that exhausted every strategy (or could not
+// start) and returns err.
+func (t dcTelemetry) fail(reg *telemetry.Registry, err error) error {
+	t.unconverged.Inc()
+	if reg.Enabled() {
+		reg.Emit(wire.EvSpiceUnconverged, map[string]any{"error": err.Error()})
+	}
+	return err
+}
+
 func newDCTelemetry(reg *telemetry.Registry) dcTelemetry {
 	if reg == nil {
 		return dcTelemetry{}
@@ -83,6 +99,7 @@ func newDCTelemetry(reg *telemetry.Registry) dcTelemetry {
 	return dcTelemetry{
 		solves:       s.Counter("solves_total"),
 		unconverged:  s.Counter("unconverged_total"),
+		capped:       s.Counter("capped_total"),
 		gminFalls:    s.Counter("fallback_gmin_total"),
 		sourceFalls:  s.Counter("fallback_source_total"),
 		warmHits:     s.Counter("warm_hit_total"),

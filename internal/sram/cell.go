@@ -177,62 +177,109 @@ func (c *Cell) transferCurve(cfg BiasConfig, dvth [NumTransistors]float64, force
 // WriteTripFloor is the lowest artificial bitline voltage probed by
 // WriteTrip. Letting the bisection continue below 0 V keeps the write
 // margin continuous (and hence searchable) past the physical write-fail
-// boundary.
+// boundary. The floor is one of the search's two endpoint probes, which
+// run the full solve ladder: a cell no strategy can solve there is an
+// error, not a margin.
 const WriteTripFloor = -0.6
 
-// WriteTrip returns the bitline write-trip voltage: the highest BL voltage
-// at which the cell storing a 1 at Q flips when the word line is asserted
-// (writing a 0 through M3 against load M5). A healthy cell flips with BL
-// well above 0 V; a write-failing cell does not flip even at BL = 0, in
-// which case the returned value is negative (down to WriteTripFloor, where
-// it saturates). Each probe is one DC solve seeded in the state-1 basin.
-func (c *Cell) WriteTrip(dvth [NumTransistors]float64) (float64, error) {
-	ckt, _ := c.build(ReadConfig, dvth) // WL high, both bitlines start at VDD
-	vbl, err := ckt.VSourceByName("vbl")
-	if err != nil {
-		return 0, err
+// writeProbeMaxIter caps the single plain-Newton attempt of each
+// interior write-trip probe. A probe still unconverged after it counts
+// as flipped, as a failed full solve always did: near the trip point
+// the state-1 solution is marginal or gone, and of the probes that ran
+// past 30 iterations almost all ended flipped under the full ladder
+// anyway (DESIGN.md §12).
+const writeProbeMaxIter = 30
+
+// writeTripBisections is the number of interior probes after the two
+// endpoints: 14 halvings of the 1.6 V bracket resolve the trip voltage
+// to ~0.1 mV.
+const writeTripBisections = 14
+
+// writeProbe reports whether the cell flips at bitline voltage bl.
+// endpoint marks the two bracket probes (BL = VDD and BL =
+// WriteTripFloor), which must solve with the full ladder; interior
+// probes may decide non-convergence cheaply.
+type writeProbe func(bl float64, endpoint bool) (flipped bool, err error)
+
+// newWriteProbe is the write-trip probe on a write circuit whose WL is
+// high and whose bitline source is vbl: a cold DC solve seeded in the
+// state-1 basin, flipped when V(q) falls below VDD/2. Interior probes
+// run one plain-Newton attempt capped at writeProbeMaxIter.
+func (c *Cell) newWriteProbe(ckt *spice.Circuit, vbl *spice.VSource) writeProbe {
+	full := spice.DCOptions{
+		InitialGuess: map[string]float64{"q": c.VDD, "qb": 0},
+		Telemetry:    c.Telemetry,
+		// Probes only compare V(q) against the trip threshold.
+		NoBranchCurrents: true,
 	}
-	flipped := func(bl float64) (bool, error) {
+	capped := full
+	capped.SingleAttempt = true
+	capped.MaxIter = writeProbeMaxIter
+	return func(bl float64, endpoint bool) (bool, error) {
 		vbl.E = bl
-		op, err := ckt.SolveDC(&spice.DCOptions{
-			InitialGuess: map[string]float64{"q": c.VDD, "qb": 0},
-			Telemetry:    c.Telemetry,
-		})
+		opts := &capped
+		if endpoint {
+			opts = &full
+		}
+		op, err := ckt.SolveDC(opts)
 		if err != nil {
 			return false, fmt.Errorf("sram: write-trip solve at BL=%.3f: %w", bl, err)
 		}
 		return op.Voltage("q") < 0.5*c.VDD, nil
 	}
-	lo, hi := WriteTripFloor, c.VDD
+}
+
+// writeTripSearch is the write-trip bisection behind both WriteTrip and
+// the WNM metric. It probes the endpoints BL = vdd and BL =
+// WriteTripFloor, whose errors it returns, then bisects the bracket with
+// writeTripBisections interior probes. An interior probe that fails
+// counts as flipped: non-convergence this close to the trip bifurcation
+// means the state-1 solution is marginal, and classifying the point as
+// flipped moves the trip estimate by at most the current bisection
+// interval.
+func writeTripSearch(vdd float64, flipped writeProbe) (float64, error) {
+	lo, hi := WriteTripFloor, vdd
 	// The cell must hold its state with BL at VDD (otherwise it is
 	// read-unstable, which the write metric treats as flipping at VDD).
-	if f, err := flipped(hi); err != nil {
+	if f, err := flipped(hi, true); err != nil {
 		return 0, err
 	} else if f {
 		return hi, nil
 	}
-	if f, err := flipped(lo); err != nil {
+	if f, err := flipped(lo, true); err != nil {
 		return 0, err
 	} else if !f {
 		return lo, nil // saturated: cannot write even at the floor
 	}
-	for i := 0; i < 14; i++ {
+	for i := 0; i < writeTripBisections; i++ {
 		mid := 0.5 * (lo + hi)
-		f, err := flipped(mid)
-		if err != nil {
-			// Non-convergence this close to the trip bifurcation means
-			// the state-1 solution is marginal; classifying the point as
-			// flipped moves the trip estimate by at most the current
-			// bisection interval.
-			f = true
-		}
-		if f {
+		f, err := flipped(mid, false)
+		if f || err != nil {
 			lo = mid // flips at mid: trip voltage is at or above mid
 		} else {
 			hi = mid
 		}
 	}
 	return 0.5 * (lo + hi), nil
+}
+
+// WriteTrip returns the bitline write-trip voltage: the highest BL voltage
+// at which the cell storing a 1 at Q flips when the word line is asserted
+// (writing a 0 through M3 against load M5). A healthy cell flips with BL
+// well above 0 V; a write-failing cell does not flip even at BL = 0, in
+// which case the returned value is negative (down to WriteTripFloor, where
+// it saturates). Each probe is one cold DC solve seeded in the state-1
+// basin. The two endpoint probes use the full solve ladder; each
+// interior bisection probe is one plain-Newton attempt capped at 30
+// iterations, and an attempt that does not converge counts as flipped.
+// The WNM metric runs the same search, so the two agree bit for bit.
+func (c *Cell) WriteTrip(dvth [NumTransistors]float64) (float64, error) {
+	ckt, _ := c.build(ReadConfig, dvth) // WL high, both bitlines start at VDD
+	vbl, err := ckt.VSourceByName("vbl")
+	if err != nil {
+		return 0, err
+	}
+	return writeTripSearch(c.VDD, c.newWriteProbe(ckt, vbl))
 }
 
 // ReadCurrent solves the read operating point with the cell holding a 0 at

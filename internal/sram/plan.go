@@ -32,7 +32,12 @@ import (
 //	                      where warm continuation would track the
 //	                      vanishing state-1 branch past the trip point
 //	                      and bias the margin (hysteresis); probes stay
-//	                      cold and gain only template/workspace reuse
+//	                      cold and gain only template/workspace reuse.
+//	                      The two endpoint probes run the full solve
+//	                      ladder; each of the 14 interior probes is one
+//	                      plain-Newton attempt capped at
+//	                      writeProbeMaxIter, and one that does not
+//	                      converge counts as flipped (writeTripSearch)
 //	access (transient)    template reuse plus the two-rate integrator
 //	                      schedule; the transient itself warm-chains
 //	                      step to step as it always has
@@ -356,53 +361,11 @@ func (m *Metric) sweepCurve(t *sweepTemplate, row []float64, out *curve) error {
 	return nil
 }
 
-// writeSample ports Cell.WriteTrip onto the engine template: the same
-// cold bisection for the bitline trip voltage, minus the per-sample
-// netlist rebuild. Probes are never warm-started (see the policy note in
-// the file comment).
+// writeSample runs Cell.WriteTrip's search on the engine template,
+// minus the per-sample netlist rebuild. Probes are never warm-started
+// (see the policy note in the file comment).
 func (m *Metric) writeSample(e *metricEngine, row []float64) (float64, error) {
-	c := m.Cell
 	t := e.read
 	t.setDvth(row)
-	t.vbl.E = t.blE // undo the previous sample's bisection
-	opts := &spice.DCOptions{
-		InitialGuess: map[string]float64{"q": c.VDD, "qb": 0},
-		Telemetry:    c.Telemetry,
-		// Probes only compare V(q) against the trip threshold.
-		NoBranchCurrents: true,
-	}
-	flipped := func(bl float64) (bool, error) {
-		t.vbl.E = bl
-		op, err := t.ckt.SolveDC(opts)
-		if err != nil {
-			return false, fmt.Errorf("sram: write-trip solve at BL=%.3f: %w", bl, err)
-		}
-		return op.Voltage("q") < 0.5*c.VDD, nil
-	}
-	lo, hi := WriteTripFloor, c.VDD
-	if f, err := flipped(hi); err != nil {
-		return 0, err
-	} else if f {
-		return hi, nil
-	}
-	if f, err := flipped(lo); err != nil {
-		return 0, err
-	} else if !f {
-		return lo, nil // saturated: cannot write even at the floor
-	}
-	for i := 0; i < 14; i++ {
-		mid := 0.5 * (lo + hi)
-		f, err := flipped(mid)
-		if err != nil {
-			// Same classification as Cell.WriteTrip: non-convergence at
-			// the bifurcation counts as flipped.
-			f = true
-		}
-		if f {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
+	return writeTripSearch(m.Cell.VDD, m.Cell.newWriteProbe(t.ckt, t.vbl))
 }
